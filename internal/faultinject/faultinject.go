@@ -12,6 +12,10 @@
 //	                      stateless hash of (S, hit index) — deterministic
 //	                      for a given seed regardless of goroutine timing
 //
+// A site that handles several records in one step, such as a batched
+// journal write, calls FireN(point, n): n hits are counted at once and the
+// point fires at most once, so hit ordinals keep naming records.
+//
 // Mode is "error" (Fire returns an *Fault wrapping ErrInjected) or "panic"
 // (Fire panics with *Panic). Multiple comma-separated specs arm multiple
 // points. Both triggers are deterministic: the Nth-hit form trivially so,
@@ -202,8 +206,20 @@ func Hits(name string) uint64 {
 // atomic load. Armed, it counts the hit and — when the point's trigger says
 // so — returns an *Fault (mode "error") or panics with *Panic (mode
 // "panic").
-func Fire(name string) error {
-	if !armed.Load() {
+func Fire(name string) error { return fire(name, 1) }
+
+// FireN is the failure point of a site that handles n records in one step,
+// such as a batched journal write: it counts n hits at once and fires at
+// most once, on the first of those hit ordinals whose trigger says so. Hit
+// ordinals therefore keep naming records however they are batched, and a
+// spec's @N fault lands on the step that carries the Nth record. n <= 0
+// counts nothing.
+func FireN(name string, n int) error { return fire(name, n) }
+
+// fire is the body of Fire and FireN. Neither calls the other, because the
+// faultpoint analyzer requires a literal point name at every Fire/FireN call.
+func fire(name string, n int) error {
+	if !armed.Load() || n <= 0 {
 		return nil
 	}
 	mu.Lock()
@@ -212,22 +228,29 @@ func Fire(name string) error {
 	if pt == nil {
 		return nil
 	}
-	hit := pt.hits.Add(1)
-	fire := false
+	last := pt.hits.Add(uint64(n))
+	for hit := last - uint64(n) + 1; hit <= last; hit++ {
+		if !pt.triggers(hit) {
+			continue
+		}
+		if pt.mode == modePanic {
+			panic(&Panic{Point: name, Hit: hit})
+		}
+		return &Fault{Point: name, Hit: hit}
+	}
+	return nil
+}
+
+// triggers reports whether the point fires on the given hit ordinal.
+func (pt *point) triggers(hit uint64) bool {
 	switch {
 	case pt.n > 0:
-		fire = hit == pt.n
+		return hit == pt.n
 	case pt.p > 0:
 		// Stateless per-hit decision: splitmix64(seed ^ hit) mapped to [0,1).
-		fire = float64(splitmix64(pt.seed^hit)>>11)/float64(1<<53) < pt.p
+		return float64(splitmix64(pt.seed^hit)>>11)/float64(1<<53) < pt.p
 	}
-	if !fire {
-		return nil
-	}
-	if pt.mode == modePanic {
-		panic(&Panic{Point: name, Hit: hit})
-	}
-	return &Fault{Point: name, Hit: hit}
+	return false
 }
 
 // splitmix64 is the standard 64-bit mix; good enough to turn (seed, hit)

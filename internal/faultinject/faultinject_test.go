@@ -40,6 +40,28 @@ func TestNthHitErrorMode(t *testing.T) {
 	}
 }
 
+// TestFireNCountsRecords pins the batch form: n hits are counted at once,
+// and the point fires at most once per call, reporting the armed ordinal.
+func TestFireNCountsRecords(t *testing.T) {
+	defer Disarm()
+	if err := Arm("p:error@5"); err != nil {
+		t.Fatal(err)
+	}
+	if err := FireN("p", 3); err != nil { // hits 1-3
+		t.Fatalf("hits 1-3: err = %v, want nil", err)
+	}
+	var f *Fault
+	if err := FireN("p", 4); !errors.As(err, &f) || f.Hit != 5 { // hits 4-7
+		t.Fatalf("hits 4-7: err = %v, want a fault at hit 5", err)
+	}
+	if err := FireN("p", 0); err != nil {
+		t.Fatalf("empty batch: err = %v, want nil", err)
+	}
+	if got := Hits("p"); got != 7 {
+		t.Fatalf("Hits = %d, want 7", got)
+	}
+}
+
 func TestPanicMode(t *testing.T) {
 	defer Disarm()
 	if err := Arm("p:panic@1"); err != nil {

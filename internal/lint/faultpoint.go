@@ -17,7 +17,7 @@ import (
 // matrix address failure sites by name — `CORONA_FAULTS=store.append.torn:…`
 // — so the names are an operational API:
 //
-//   - every faultinject.Fire/Hits point name must be a string literal (an
+//   - every faultinject.Fire/FireN/Hits point name must be a string literal (an
 //     operator must be able to grep for it) shaped pkg.component.action,
 //     with the leading segment naming the package that owns the site;
 //   - a point fires from exactly one call site per package (a second site
@@ -72,7 +72,8 @@ func runFaultPoint(pass *analysis.Pass) error {
 				return true
 			}
 			sawFaultinject = true
-			if (fn.Name() != "Fire" && fn.Name() != "Hits") || len(call.Args) < 1 {
+			fires := fn.Name() == "Fire" || fn.Name() == "FireN"
+			if (!fires && fn.Name() != "Hits") || len(call.Args) < 1 {
 				return true
 			}
 			name, ok := stringLiteral(call.Args[0])
@@ -91,7 +92,7 @@ func runFaultPoint(pass *analysis.Pass) error {
 					"fault point %q claims package %q but fires from package %q: the first segment names the owning package", name, first, pkgName)
 				return true
 			}
-			if fn.Name() == "Fire" {
+			if fires {
 				fired[name] = append(fired[name], call.Args[0].Pos())
 			}
 			return true

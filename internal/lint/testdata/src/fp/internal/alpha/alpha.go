@@ -20,6 +20,14 @@ func NonLiteral(name string) error {
 	return faultinject.Fire(name) // want `point name must be a string literal`
 }
 
+func NonLiteralBatch(name string) error {
+	return faultinject.FireN(name, 2) // want `point name must be a string literal`
+}
+
+func BatchDuplicate() error {
+	return faultinject.FireN("alpha.fenced.act", 2) // want `fired from 2 call sites in this package`
+}
+
 func BadShape() error {
 	return faultinject.Fire("alpha.bad") // want `is not shaped pkg\.component\.action`
 }

@@ -36,7 +36,8 @@ package server
 // number of attempts. Received cells are never re-run, and determinism
 // makes retried or speculated cells indistinguishable from first-try ones.
 // With a Store configured the coordinator journals merged cells like any
-// daemon, so a restarted coordinator re-dispatches only the missing ones.
+// daemon (in release order, through the job's cell writer), so a restarted
+// coordinator re-dispatches only the missing ones.
 
 import (
 	"context"
@@ -620,35 +621,29 @@ type fleetMerge struct {
 
 // add accepts a cell under first-result-wins semantics — the speculation
 // race's same-index duplicate is dropped here, authoritatively, whatever
-// the shard-level dedup upstream saw — then releases the longest
+// the shard-level dedup upstream saw — then publishes the longest
 // now-contiguous prefix to the job (observers wake per cell, the journal
-// gets every release exactly once). Reports whether the cell was accepted.
+// writer gets every release exactly once). Publishing inside the critical
+// section keeps racing shard streams from interleaving their releases, so
+// both the stream and the journal see ascending index order; it is cheap
+// because publishing only queues cells for the journal. Reports whether
+// the cell was accepted.
 func (m *fleetMerge) add(cell core.CellResult) bool {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.seen[cell.Index] {
-		m.mu.Unlock()
 		return false
 	}
 	m.seen[cell.Index] = true
 	m.pend[cell.Index] = cell
-	var release []core.CellResult
 	for m.next < len(m.order) {
 		c, ok := m.pend[m.order[m.next]]
 		if !ok {
 			break
 		}
 		delete(m.pend, m.order[m.next])
-		release = append(release, c)
+		m.s.publish(m.j, c)
 		m.next++
-	}
-	m.mu.Unlock()
-	for _, c := range release {
-		m.j.mu.Lock()
-		m.j.cells = append(m.j.cells, c)
-		m.j.cond.Broadcast()
-		m.j.mu.Unlock()
-		m.s.persistCell(m.j.id, c)
-		m.s.cellsDone.Add(1)
 	}
 	return true
 }

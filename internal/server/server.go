@@ -24,15 +24,17 @@
 // pool, and all jobs share the client's on-disk result cache.
 //
 // Durability: with Options.Store set, every submission, completed cell, and
-// terminal status is appended to the job journal before (or as) it becomes
-// observable. A daemon restarted against the same store directory replays
-// the journal, restores finished jobs for querying, marks jobs that were
-// still in flight "resuming", and re-runs only their missing cells (the
-// recorded ones are fed back through core.Precomputed); deterministic
-// seeding makes the merged result set byte-identical to an uninterrupted
-// run. A graceful Close deliberately does NOT write a terminal status for
-// interrupted jobs — that is what lets the next daemon resume them. See
-// docs/OPERATIONS.md for the full failure-semantics table.
+// terminal status is appended to the job journal. Cells are group-committed
+// by a per-job writer off the stream path, and all of a job's cells are
+// durable before its terminal status is observable. A daemon restarted
+// against the same store directory replays the journal, restores finished
+// jobs for querying, marks jobs that were still in flight "resuming", and
+// re-runs only their missing cells (the recorded ones are fed back through
+// core.Precomputed); deterministic seeding makes the merged result set
+// byte-identical to an uninterrupted run. A graceful Close deliberately
+// does NOT write a terminal status for interrupted jobs — that is what lets
+// the next daemon resume them. See docs/OPERATIONS.md for the full
+// failure-semantics table.
 //
 // Failure containment: a panicking cell fails only its own job (the core
 // engine converts cell panics to *core.PanicError, and runJob has a second
@@ -344,8 +346,13 @@ type job struct {
 
 	// restored marks cell indices replayed from the journal (resumed jobs
 	// only): they are already in cells, already durable, and must not be
-	// double-appended when the resumed sweep re-surfaces them.
+	// double-appended when the resumed sweep re-surfaces them. It is filled
+	// before the job is queued and only read afterwards.
 	restored map[int]bool
+
+	// journal commits the job's published cells to the store; installed by
+	// startJob before any cell is published, nil without a store.
+	journal *cellWriter
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -416,25 +423,17 @@ func (j *job) view() JobView {
 	return v
 }
 
-// persistSubmit/persistCell/persistStatus write through to the journal when
-// one is configured. A store failure (a wedged journal, a dead disk) is
-// loud but not fatal: the daemon degrades to in-memory operation — visible
-// in /healthz — rather than dying mid-campaign.
+// persistSubmit/persistStatus write through to the journal when one is
+// configured; cells go through the job's cellWriter. A store failure (a
+// wedged journal, a dead disk) is loud but not fatal: the daemon degrades
+// to in-memory operation — visible in /healthz — rather than dying
+// mid-campaign.
 func (s *Server) persistSubmit(id string, scenario []byte, total int, submitted time.Time, timeout time.Duration) {
 	if s.st == nil {
 		return
 	}
 	if err := s.st.AppendSubmit(id, scenario, total, submitted, timeout); err != nil {
 		s.log.Error("job store write failed; durability degraded", "job", id, "record", "submit", "err", err)
-	}
-}
-
-func (s *Server) persistCell(id string, cell core.CellResult) {
-	if s.st == nil {
-		return
-	}
-	if err := s.st.AppendCell(id, cell); err != nil {
-		s.log.Error("job store write failed; durability degraded", "job", id, "record", "cell", "err", err)
 	}
 }
 
@@ -445,6 +444,96 @@ func (s *Server) persistStatus(id, status, errMsg string) {
 	if err := s.st.AppendStatus(id, status, errMsg); err != nil {
 		s.log.Error("job store write failed; durability degraded", "job", id, "record", "status", "err", err)
 	}
+}
+
+// cellWriter group-commits one job's cells to the journal off the stream
+// path. Publishers enqueue without blocking on I/O; one goroutine drains
+// whatever has queued into a single store.AppendCells — one write, one
+// fsync — while the next batch queues behind it. Cells commit in enqueue
+// order. The job closes its writer before its terminal status becomes
+// visible, so every streamed cell is durable by the time a client sees the
+// job finish. A nil *cellWriter (no store) drops everything.
+type cellWriter struct {
+	st  *store.Store
+	log *slog.Logger
+	id  string
+
+	mu      sync.Mutex
+	wake    *sync.Cond
+	queue   []core.CellResult
+	closing bool
+	done    chan struct{} // closed once run has committed everything and exited
+}
+
+func (s *Server) newCellWriter(id string) *cellWriter {
+	if s.st == nil {
+		return nil
+	}
+	w := &cellWriter{st: s.st, log: s.log, id: id, done: make(chan struct{})}
+	w.wake = sync.NewCond(&w.mu)
+	go w.run()
+	return w
+}
+
+// enqueue queues one published cell for the next batch. It must not be
+// called after close.
+func (w *cellWriter) enqueue(c core.CellResult) {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	w.queue = append(w.queue, c)
+	w.mu.Unlock()
+	w.wake.Signal()
+}
+
+// close commits every queued cell, stops the writer, and returns once the
+// last batch is durable (or the store has refused it). Calling it again is
+// harmless.
+func (w *cellWriter) close() {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	w.closing = true
+	w.mu.Unlock()
+	w.wake.Signal()
+	<-w.done
+}
+
+func (w *cellWriter) run() {
+	defer close(w.done)
+	var batch []core.CellResult
+	for {
+		w.mu.Lock()
+		for len(w.queue) == 0 && !w.closing {
+			w.wake.Wait()
+		}
+		if len(w.queue) == 0 {
+			w.queue = nil // a finished job keeps its writer, not its buffers
+			w.mu.Unlock()
+			return
+		}
+		// Swap buffers: the committed batch's array takes the next queue.
+		batch, w.queue = w.queue, batch[:0]
+		w.mu.Unlock()
+		if err := w.st.AppendCells(w.id, batch); err != nil {
+			w.log.Error("job store write failed; durability degraded", "job", w.id,
+				"record", "cell", "cells", len(batch), "err", err)
+		}
+	}
+}
+
+// publish appends a completed cell to the job, wakes its observers, and
+// queues the cell for the journal, so the journal's cell order is the
+// stream's whenever publishers are serialized.
+func (s *Server) publish(j *job, c core.CellResult) {
+	j.mu.Lock()
+	j.cells = append(j.cells, c)
+	j.cond.Broadcast()
+	j.mu.Unlock()
+	j.journal.enqueue(c)
+	s.cellsDone.Add(1)
 }
 
 // runner executes queued jobs until the queue closes: locally on a plain
@@ -469,6 +558,7 @@ func (s *Server) containPanic(j *job) {
 		msg := fmt.Sprintf("job runner panicked: %v", v)
 		s.log.Error("job runner panic contained", "job", j.id, "panic", v,
 			"stack", string(debug.Stack()))
+		j.journal.close()
 		j.mu.Lock()
 		if !j.terminal() {
 			j.status, j.errMsg = statusFailed, msg
@@ -483,11 +573,11 @@ func (s *Server) containPanic(j *job) {
 }
 
 // startJob moves a dequeued job into "running": it installs the cancel
-// function (bounded by the job's deadline when one was submitted) and
-// returns the run context. ok=false means there is nothing to run — the job
-// was finalized while queued, or the daemon is shutting down, in which case
-// the job is marked canceled WITHOUT a journaled terminal status so the
-// next daemon on this store resumes it.
+// function (bounded by the job's deadline when one was submitted) and the
+// journal's cell writer, and returns the run context. ok=false means there
+// is nothing to run — the job was finalized while queued, or the daemon is
+// shutting down, in which case the job is marked canceled WITHOUT a
+// journaled terminal status so the next daemon on this store resumes it.
 func (s *Server) startJob(j *job) (ctx context.Context, cancel context.CancelFunc, from string, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -507,17 +597,21 @@ func (s *Server) startJob(j *job) (ctx context.Context, cancel context.CancelFun
 		ctx, cancel = context.WithCancel(s.ctx)
 	}
 	j.cancel = cancel
+	j.journal = s.newCellWriter(j.id)
 	from = j.status
 	j.status = statusRunning
 	j.cond.Broadcast()
 	return ctx, cancel, from, true
 }
 
-// finishJob maps the run's terminal error onto the job state machine and
-// persists the verdict — except for a shutdown-interrupted job, which must
-// stay statusless in the journal so the next daemon resumes it exactly
-// where the cells left off.
+// finishJob commits the job's queued cells, then maps the run's terminal
+// error onto the job state machine and persists the verdict — except for a
+// shutdown-interrupted job, which must stay statusless in the journal so
+// the next daemon resumes it exactly where the cells left off. Committing
+// first keeps the journal's submit → cells → status order and makes every
+// streamed cell durable before the terminal status is visible.
 func (s *Server) finishJob(j *job, err error, started time.Time) {
+	j.journal.close()
 	j.mu.Lock()
 	j.cancel = nil
 	var status, detail string
@@ -601,17 +695,11 @@ func (s *Server) runJob(j *job) {
 	}
 	if err == nil {
 		for cell := range cj.Results() {
-			j.mu.Lock()
 			if j.restored[cell.Index] {
 				// Already durable and already in cells from the journal.
-				j.mu.Unlock()
 				continue
 			}
-			j.cells = append(j.cells, cell)
-			j.cond.Broadcast()
-			j.mu.Unlock()
-			s.persistCell(j.id, cell)
-			s.cellsDone.Add(1)
+			s.publish(j, cell)
 		}
 		err = cj.Wait(context.Background())
 	}

@@ -11,10 +11,11 @@
 //	payload (one JSON-encoded Record)
 //
 // whose first frame is a header record carrying the schema version. Appends
-// go to the end of the highest-numbered segment and are fsynced by default.
-// Replay tolerates a truncated or torn tail — a crash mid-append leaves a
-// short or CRC-invalid final frame, which Open discards by truncating the
-// file back to the last good frame, exactly as if the append had never
+// go to the end of the highest-numbered segment, one write per call (a
+// batch of cells is one call), and are fsynced by default. Replay tolerates
+// a truncated or torn tail — a crash mid-append leaves a short or
+// CRC-invalid final frame, which Open discards by truncating the file back
+// to the last good frame, exactly as if the torn frame had never been
 // started. Compaction (dropping evicted jobs, squeezing out superseded
 // frames) writes a brand-new next-numbered segment through a temp file and
 // an atomic rename, like the sweep cache's entry writes: a crash during
@@ -25,7 +26,8 @@
 // Failure semantics: the first append or compaction error — a real disk
 // failure or an injected one (internal/faultinject, points
 // "store.append.before", "store.append.torn", "store.append.sync",
-// "store.compact.rename") — wedges the store: the error is remembered,
+// "store.compact.rename"; the append points count one hit per record and
+// fire at most once per batch) — wedges the store: the error is remembered,
 // every later operation returns it, and nothing more is written. A wedged
 // store is how the chaos suite models a machine dying at a write point: no
 // byte after the failure reaches the journal, and reopening the directory
@@ -128,6 +130,7 @@ type Store struct {
 	f      *os.File
 	seg    int
 	broken error
+	enc    *frameEncoder // reused by every append and compaction
 
 	jobs  map[string]*JobState
 	order []string // job ids in first-submit order
@@ -147,6 +150,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:  dir,
 		log:  log,
 		nos:  opts.NoSync,
+		enc:  newFrameEncoder(),
 		jobs: make(map[string]*JobState),
 		seen: make(map[string]map[int]bool),
 	}
@@ -282,7 +286,7 @@ func (s *Store) replay() error {
 	}
 	if !header {
 		// Brand-new segment (or one that died before the header landed).
-		if err := s.writeFrame(Record{Type: "header", Schema: Schema}); err != nil {
+		if err := s.writeFrames([]Record{{Type: "header", Schema: Schema}}); err != nil {
 			return err
 		}
 		return nil
@@ -335,35 +339,72 @@ func (s *Store) apply(rec Record) {
 	}
 }
 
-// writeFrame encodes rec, writes its frame at the current file position, and
-// fsyncs (unless NoSync). The fault points bracket each sub-step so the
-// chaos suite can kill the store before, during (a torn half-frame reaches
-// the disk), or after the write. Any failure wedges the store. Callers hold
-// s.mu (or are Open's single-threaded replay).
-func (s *Store) writeFrame(rec Record) error {
-	if err := faultinject.Fire("store.append.before"); err != nil {
+// frameEncoder encodes records as frames (length, CRC-32C, JSON payload)
+// into one reusable buffer, so appending a batch or rewriting the whole
+// journal allocates no per-record payload.
+type frameEncoder struct {
+	buf []byte
+	enc *json.Encoder // writes into buf through Write
+}
+
+func newFrameEncoder() *frameEncoder {
+	e := &frameEncoder{}
+	e.enc = json.NewEncoder(e)
+	return e
+}
+
+// Write appends the JSON encoder's output to the buffer.
+func (e *frameEncoder) Write(p []byte) (int, error) {
+	e.buf = append(e.buf, p...)
+	return len(p), nil
+}
+
+// frame appends rec's frame to the buffer.
+func (e *frameEncoder) frame(rec *Record) error {
+	start := len(e.buf)
+	e.buf = append(e.buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	if err := e.enc.Encode(rec); err != nil {
+		e.buf = e.buf[:start]
+		return err
+	}
+	e.buf = e.buf[:len(e.buf)-1] // Encode's trailing newline; the payload is json.Marshal's bytes
+	payload := e.buf[start+8:]
+	binary.LittleEndian.PutUint32(e.buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(e.buf[start+4:], crc32.Checksum(payload, crcTable))
+	return nil
+}
+
+// writeFrames encodes recs, writes all their frames with one write at the
+// current file position, and fsyncs once (unless NoSync). The fault points
+// bracket the batch, each counting one hit per record and firing at most
+// once, so the chaos suite can kill the store before any byte of the batch,
+// mid-write (the first half of the batch's bytes reach the disk, ending in
+// a torn frame), or after the write. Any failure wedges the store. Callers
+// hold s.mu (or are Open's single-threaded replay).
+func (s *Store) writeFrames(recs []Record) error {
+	if err := faultinject.FireN("store.append.before", len(recs)); err != nil {
 		return s.wedge(err)
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return s.wedge(fmt.Errorf("store: encoding record: %w", err))
+	s.enc.buf = s.enc.buf[:0]
+	for i := range recs {
+		if err := s.enc.frame(&recs[i]); err != nil {
+			return s.wedge(fmt.Errorf("store: encoding record: %w", err))
+		}
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
-	if err := faultinject.Fire("store.append.torn"); err != nil {
-		// Simulated crash mid-write: half the frame reaches the disk, the
-		// rest never does. Replay must discard it.
-		s.f.Write(frame[:len(frame)/2])
+	buf := s.enc.buf
+	if err := faultinject.FireN("store.append.torn", len(recs)); err != nil {
+		// Simulated crash mid-write: half the batch reaches the disk, the
+		// rest never does. Replay keeps the whole frames and discards the
+		// torn one.
+		s.f.Write(buf[:len(buf)/2])
 		return s.wedge(err)
 	}
-	if _, err := s.f.Write(frame); err != nil {
+	if _, err := s.f.Write(buf); err != nil {
 		return s.wedge(fmt.Errorf("store: append: %w", err))
 	}
-	if err := faultinject.Fire("store.append.sync"); err != nil {
-		// Simulated crash after the write: the frame is on disk (the chaos
-		// suite asserts it survives) but the caller sees a dead store.
+	if err := faultinject.FireN("store.append.sync", len(recs)); err != nil {
+		// Simulated crash after the write: the frames are on disk (the chaos
+		// suite asserts they survive) but the caller sees a dead store.
 		return s.wedge(err)
 	}
 	if !s.nos {
@@ -385,17 +426,22 @@ func (s *Store) wedge(err error) error {
 	return s.broken
 }
 
-// append serializes, writes, and applies one record.
-func (s *Store) append(rec Record) error {
+// append serializes, writes, and applies a batch of records.
+func (s *Store) append(recs ...Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.broken != nil {
 		return s.broken
 	}
-	if err := s.writeFrame(rec); err != nil {
+	if len(recs) == 0 {
+		return nil
+	}
+	if err := s.writeFrames(recs); err != nil {
 		return err
 	}
-	s.apply(rec)
+	for _, rec := range recs {
+		s.apply(rec)
+	}
 	return nil
 }
 
@@ -409,9 +455,23 @@ func (s *Store) AppendSubmit(id string, scenario json.RawMessage, total int, sub
 		Total: total, Submitted: submitted, Timeout: timeout})
 }
 
-// AppendCell durably records one completed cell of a job.
+// AppendCell durably records one completed cell of a job: the one-cell
+// case of AppendCells.
 func (s *Store) AppendCell(id string, cell core.CellResult) error {
 	return s.append(Record{Type: "cell", Job: id, Cell: &cell})
+}
+
+// AppendCells durably records a batch of a job's completed cells, in order,
+// with one write and one fsync. It succeeds or fails as a unit: on error
+// the store is wedged and no cell of the batch is acknowledged, although a
+// prefix of its frames may have reached the disk. An empty batch writes
+// and syncs nothing.
+func (s *Store) AppendCells(id string, cells []core.CellResult) error {
+	recs := make([]Record, len(cells))
+	for i := range cells {
+		recs[i] = Record{Type: "cell", Job: id, Cell: &cells[i]}
+	}
+	return s.append(recs...)
 }
 
 // AppendStatus durably records a job's terminal status. Jobs without one
@@ -470,34 +530,10 @@ func (s *Store) Compact(keep func(id string) bool) error {
 			kept = append(kept, id)
 		}
 	}
-	recs := []Record{{Type: "header", Schema: Schema}}
-	for _, id := range kept {
-		js := s.jobs[id]
-		recs = append(recs, Record{Type: "submit", Job: id, Scenario: js.Scenario,
-			Total: js.Total, Submitted: js.Submitted, Timeout: js.Timeout})
-		for i := range js.Cells {
-			recs = append(recs, Record{Type: "cell", Job: id, Cell: &js.Cells[i]})
-		}
-		if js.Status != "" {
-			recs = append(recs, Record{Type: "status", Job: id, Status: js.Status, Error: js.Error})
-		}
-	}
-	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			return s.wedge(fmt.Errorf("store: compact encode: %w", err))
-		}
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-		if _, err := tmp.Write(hdr[:]); err == nil {
-			_, err = tmp.Write(payload)
-		}
-		if err != nil {
-			tmp.Close()
-			return s.wedge(fmt.Errorf("store: compact write: %w", err))
-		}
+	frames, err := s.writeCompacted(tmp, kept)
+	if err != nil {
+		tmp.Close()
+		return s.wedge(err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -536,8 +572,57 @@ func (s *Store) Compact(keep func(id string) bool) error {
 		}
 		s.order = kept
 	}
-	s.log.Info("store: compacted", "segment", dst, "jobs", len(kept), "frames", len(recs))
+	s.log.Info("store: compacted", "segment", dst, "jobs", len(kept), "frames", frames)
 	return nil
+}
+
+// writeCompacted streams the header and the kept jobs' records into the
+// compaction temp file through the encoder, in writes of about 64 KiB, and
+// returns how many frames it wrote.
+func (s *Store) writeCompacted(tmp *os.File, kept []string) (int, error) {
+	frames := 0
+	rec := new(Record) // one reused record: encoding makes it escape
+	s.enc.buf = s.enc.buf[:0]
+	flush := func() error {
+		_, err := tmp.Write(s.enc.buf)
+		s.enc.buf = s.enc.buf[:0]
+		if err != nil {
+			return fmt.Errorf("store: compact write: %w", err)
+		}
+		return nil
+	}
+	emit := func(r Record) error {
+		*rec = r
+		frames++
+		if err := s.enc.frame(rec); err != nil {
+			return fmt.Errorf("store: compact encode: %w", err)
+		}
+		if len(s.enc.buf) < 64<<10 {
+			return nil
+		}
+		return flush()
+	}
+	if err := emit(Record{Type: "header", Schema: Schema}); err != nil {
+		return 0, err
+	}
+	for _, id := range kept {
+		js := s.jobs[id]
+		if err := emit(Record{Type: "submit", Job: id, Scenario: js.Scenario,
+			Total: js.Total, Submitted: js.Submitted, Timeout: js.Timeout}); err != nil {
+			return 0, err
+		}
+		for i := range js.Cells {
+			if err := emit(Record{Type: "cell", Job: id, Cell: &js.Cells[i]}); err != nil {
+				return 0, err
+			}
+		}
+		if js.Status != "" {
+			if err := emit(Record{Type: "status", Job: id, Status: js.Status, Error: js.Error}); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return frames, flush()
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives power loss;

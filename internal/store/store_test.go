@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -227,6 +228,44 @@ func TestCompactDropsEvictedJobs(t *testing.T) {
 	}
 }
 
+// TestCompactStreamsLargeJournal compacts a journal several times larger
+// than one compaction write, so the rewrite spans many flushes, and
+// checks every kept job replays with all its cells in order.
+func TestCompactStreamsLargeJournal(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	const jobs, cells = 60, 8
+	for j := 0; j < jobs; j++ {
+		id := fmt.Sprintf("job-%06d", j+1)
+		s.AppendSubmit(id, testScenario, cells, time.Now().UTC(), 0)
+		if err := s.AppendCells(id, batchCells(cells)); err != nil {
+			t.Fatal(err)
+		}
+		s.AppendStatus(id, "done", "")
+	}
+	if err := s.Compact(func(id string) bool { return id != "job-000001" }); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := s.f.Stat(); err != nil || info.Size() < 3*64<<10 {
+		t.Fatalf("compacted segment is %v bytes (err %v); want several 64 KiB writes", info.Size(), err)
+	}
+	s.Close()
+	replayed := mustOpen(t, dir).Jobs()
+	if len(replayed) != jobs-1 {
+		t.Fatalf("replayed %d jobs after compaction, want %d", len(replayed), jobs-1)
+	}
+	for _, js := range replayed {
+		if js.Status != "done" || len(js.Cells) != cells {
+			t.Fatalf("job %s replayed as %q with %d cells", js.ID, js.Status, len(js.Cells))
+		}
+		for i, c := range js.Cells {
+			if c.Index != i {
+				t.Fatalf("job %s cell %d has index %d", js.ID, i, c.Index)
+			}
+		}
+	}
+}
+
 func TestOpenPrefersHighestSegment(t *testing.T) {
 	// A crash between compaction's rename and the old segment's deletion
 	// leaves two segments; the higher (newer) one is authoritative.
@@ -271,5 +310,38 @@ func TestEmptyAndFreshDirectories(t *testing.T) {
 	s2 := mustOpen(t, dir)
 	if jobs := s2.Jobs(); len(jobs) != 0 {
 		t.Fatalf("header-only store has %d jobs", len(jobs))
+	}
+}
+
+// TestFrameEncoderMatchesMarshal pins the on-disk payload: the reused
+// encoder must frame exactly json.Marshal's bytes for every record type.
+func TestFrameEncoderMatchesMarshal(t *testing.T) {
+	c := cell(3, 42)
+	recs := []Record{
+		{Type: "header", Schema: Schema},
+		{Type: "submit", Job: "j", Scenario: json.RawMessage(`{"configs": ["<&>"]}`), Total: 2,
+			Submitted: time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC), Timeout: time.Minute},
+		{Type: "cell", Job: "j", Cell: &c},
+		{Type: "status", Job: "j", Status: "failed", Error: "a <b> & c"},
+	}
+	e := newFrameEncoder()
+	for i := range recs {
+		e.buf = e.buf[:0]
+		if err := e.frame(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(&recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.buf[8:]; string(got) != string(want) {
+			t.Fatalf("%s payload\n got %s\nwant %s", recs[i].Type, got, want)
+		}
+		if n := binary.LittleEndian.Uint32(e.buf); int(n) != len(want) {
+			t.Fatalf("%s frame length %d, want %d", recs[i].Type, n, len(want))
+		}
+		if crc := binary.LittleEndian.Uint32(e.buf[4:]); crc != crc32.Checksum(want, crcTable) {
+			t.Fatalf("%s frame CRC mismatch", recs[i].Type)
+		}
 	}
 }
