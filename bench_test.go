@@ -114,100 +114,14 @@ func BenchmarkSweepEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmupFork prices warmup forking at the cell level: the same
-// replay run from scratch versus forked from a shared barrier snapshot
-// (docs/DETERMINISM.md, "Warmup forking and the snapshot contract"). Two
-// workload shapes bound the mechanism:
-//
-//   - mid: a 99.9%-local stream whose barrier falls mid-replay — the shape
-//     the sweep engine actually forks. The saving is the skipped prefix; the
-//     barrier-cycles metric shows how deep it was.
-//   - full: an all-local stream (no remote record at all), where the donor
-//     replays the entire cell and a fork only restores final state — the
-//     upper bound on what forking can save.
-//
-// The paper's fifteen workloads all touch the network at time zero (their
-// barrier is zero), so neither shape occurs in the headline matrix; this
-// bench prices the mechanism, not the sweep. BenchmarkSweepEngine remains
-// the full-sweep wall-clock number.
-func BenchmarkWarmupFork(b *testing.B) {
-	const forkRequests = 4000
-	shapes := []struct {
-		name string
-		spec traffic.Spec
-	}{
-		{"mid", traffic.Spec{Name: "LocalUniform", Kind: traffic.Uniform,
-			DemandTBs: 5, LocalFrac: 0.999, WriteFrac: 0.3}},
-		{"full", traffic.Spec{Name: "LocalTranspose", Kind: traffic.Transpose,
-			DemandTBs: 5, LocalFrac: 1, WriteFrac: 0.1}},
-	}
-	cfg := config.Corona()
-	for _, shape := range shapes {
-		buckets := core.MaterializeStream(shape.spec, cfg.Clusters, forkRequests, core.CellSeed(1, shape.spec.Name))
-		barrier := core.WarmupHorizon(buckets)
-		if barrier == 0 {
-			b.Fatalf("%s: warmup barrier is zero; the fork path would not run", shape.name)
-		}
-		b.Run(shape.name+"/scratch", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sys, err := core.NewSystem(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := core.ReplayRunner(sys, shape.spec.Name, buckets)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := r.Run(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(shape.name+"/forked", func(b *testing.B) {
-			donor, err := core.NewSystem(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dr, err := core.ReplayRunner(donor, shape.spec.Name, buckets)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dr.RunToBarrier(barrier)
-			snap, err := dr.Snapshot()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys, err := core.NewSystem(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fr, err := core.ForkRunner(sys, snap)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := fr.Run(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if barrier != ^sim.Time(0) {
-				b.ReportMetric(float64(barrier), "barrier-cycles")
-			}
-		})
-	}
-}
-
 // --- Kernel micro-benches: scheduler throughput in isolation. ---
 //
 // The workload is the component steady state: a fixed population of 64
 // self-perpetuating event chains (one per cluster) with mixed 1-16 cycle
-// delays, so every dispatch schedules exactly one successor. Three variants
-// share it: the typed Handler fast path, the closure compatibility path, and
-// a faithful reimplementation of the seed's container/heap kernel as the
-// before/after baseline. docs/PERFORMANCE.md records the numbers.
+// delays, so every dispatch schedules exactly one successor. Two variants
+// share it: the typed Handler path and a faithful reimplementation of the
+// seed's container/heap kernel as the before/after baseline.
+// docs/PERFORMANCE.md records the numbers.
 
 // kernelChains is the in-flight event population for kernel benches.
 const kernelChains = 64
@@ -276,29 +190,14 @@ func (k *seedKernel) RunLimit(n uint64) {
 
 // BenchmarkKernel compares scheduler paths on the same self-perpetuating
 // workload; events/s is the headline metric, allocs/op the zero-allocation
-// check (typed path: 0 steady-state allocs; closure paths: one closure per
-// event plus queue growth).
+// check (typed path: 0 steady-state allocs; seed heap: one closure per event
+// plus queue growth).
 func BenchmarkKernel(b *testing.B) {
 	b.Run("typed", func(b *testing.B) {
 		k := sim.NewKernel()
 		h := &benchHandler{k: k}
 		for i := 0; i < kernelChains; i++ {
 			k.ScheduleEvent(sim.Time(i&15)+1, h, uint64(i)*7919)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		k.RunLimit(uint64(b.N))
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-	})
-	b.Run("closure", func(b *testing.B) {
-		k := sim.NewKernel()
-		var step func(data uint64)
-		step = func(data uint64) {
-			next := kernelNextData(data)
-			k.Schedule(kernelDelay(data), func() { step(next) })
-		}
-		for i := 0; i < kernelChains; i++ {
-			step(uint64(i) * 7919)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -14,9 +14,8 @@
 //     finite-buffer models of the crossbars, meshes, token arbitration,
 //     hubs, MSHRs, and memory controllers underneath. Client.Submit runs a
 //     sweep as an asynchronous Job whose cells stream from Job.Results as
-//     shards finish; docs/API.md documents the model, the migration from
-//     the legacy blocking calls, and the corona-serve HTTP daemon built on
-//     it (cmd/corona-serve).
+//     shards finish; docs/API.md documents the model and the corona-serve
+//     HTTP daemon built on it (cmd/corona-serve).
 //   - NewSweep prepares the paper's full 5-configuration x 15-workload
 //     matrix and renders Figures 8-11 as tables. Sweep.Run fans the
 //     independent cells out over a bounded worker pool (Workers option,
@@ -28,8 +27,9 @@
 //     plugs an entirely new interconnect model into all of the above — see
 //     docs/ARCHITECTURE.md for the registry design and a walkthrough.
 //   - Table1/Table2/Table3/Table4 reproduce the paper's analytic tables.
-//   - ReplayTrace replays an annotated L2-miss trace (package-format traces
-//     are produced by cmd/corona-tracegen or the cluster trace engine).
+//   - Client.Replay replays an annotated L2-miss trace (package-format
+//     traces are produced by cmd/corona-tracegen or the cluster trace
+//     engine).
 //
 // All simulated time is in 5 GHz clock cycles; results report nanoseconds
 // and TB/s. Runs are deterministic for a given seed, and sweeps are
@@ -38,8 +38,6 @@
 package corona
 
 import (
-	"context"
-
 	"corona/internal/config"
 	"corona/internal/core"
 	"corona/internal/noc"
@@ -166,34 +164,6 @@ func WithWorkers(n int) ClientOption { return core.WithWorkers(n) }
 // WithCacheDir sets a client's on-disk sweep result cache directory.
 func WithCacheDir(dir string) ClientOption { return core.WithCacheDir(dir) }
 
-// RunWorkload simulates `requests` L2 misses of spec on cfg. Deterministic
-// per seed.
-//
-// Deprecated: RunWorkload blocks, cannot be canceled, and panics on invalid
-// configurations. Use (*Client).Run, which takes a context and returns
-// typed errors; see docs/API.md for the migration table. This wrapper is
-// kept so existing callers keep compiling and keep their exact behavior.
-func RunWorkload(cfg SystemConfig, spec Workload, requests int, seed uint64) Result {
-	res, err := core.Run(context.Background(), cfg, spec, requests, seed)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// ReplayTrace replays recorded misses on cfg; threadsPerCluster maps trace
-// thread ids onto clusters (16 for a full 1024-thread Corona).
-//
-// Deprecated: use (*Client).Replay, which takes a context and returns typed
-// errors instead of panicking on invalid traces (docs/API.md).
-func ReplayTrace(cfg SystemConfig, recs []TraceRecord, threadsPerCluster int) Result {
-	res, err := core.NewClient().Replay(context.Background(), cfg, recs, threadsPerCluster)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // NewSweep prepares the 5x15 experiment matrix at `requests` misses per
 // cell. Run it with Sweep.Run(ctx, ...) — optionally with Workers,
 // CacheDir, and OnProgress — or submit it as a streaming Job with
@@ -235,32 +205,6 @@ func CacheDir(dir string) SweepOption { return core.CacheDir(dir) }
 
 // OnProgress registers a serialized per-cell completion callback.
 func OnProgress(fn func(SweepProgress)) SweepOption { return core.OnProgress(fn) }
-
-// Warmup toggles warmup forking (on by default): cells of one figure row
-// that share a structural group replay the fabric-independent warmup prefix
-// once and fork the remaining cells from a snapshot taken at the barrier.
-// Results are byte-identical either way (docs/DETERMINISM.md); Warmup(false)
-// forces the from-scratch reference path.
-func Warmup(on bool) SweepOption { return core.Warmup(on) }
-
-// CompareConfigs runs spec on several machines concurrently under identical
-// traffic (the seed is used as given, where a sweep derives a per-workload
-// seed from its base seed — either way, every machine in a row faces the
-// same offered stream) and returns results in argument order. With no
-// explicit configs it compares the five paper machines in Configurations()
-// order: one workload's row of Figures 8-10. Pass any mix of presets and
-// custom configs to widen the row.
-//
-// Deprecated: use (*Client).Compare, which takes a context and returns
-// typed errors instead of panicking on invalid configurations
-// (docs/API.md).
-func CompareConfigs(spec Workload, requests int, seed uint64, configs ...SystemConfig) []Result {
-	res, err := core.NewClient().Compare(context.Background(), spec, requests, seed, configs...)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
 
 // Table1 returns the paper's resource configuration table.
 func Table1() *Table { return config.Table1() }

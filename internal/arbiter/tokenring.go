@@ -106,27 +106,6 @@ func New(k *sim.Kernel, n, nchan, speed int) *TokenRing {
 // Channels returns the number of arbitrated channels.
 func (t *TokenRing) Channels() int { return len(t.chans) }
 
-// Quiescent returns nil when every channel is in its construction state:
-// token free at its home position, never moved, no pending requesters, no
-// committed grant. It is the arbitration leg of the network snapshot
-// contract (docs/DETERMINISM.md).
-func (t *TokenRing) Quiescent() error {
-	for i := range t.chans {
-		c := &t.chans[i]
-		switch {
-		case c.holder >= 0:
-			return fmt.Errorf("arbiter: channel %d token held by cluster %d", i, c.holder)
-		case len(c.pending) > 0:
-			return fmt.Errorf("arbiter: channel %d has %d pending requesters", i, len(c.pending))
-		case c.committed:
-			return fmt.Errorf("arbiter: channel %d has a committed grant in flight", i)
-		case c.freePos != i%t.n || c.freeAt != 0 || c.lastReleaser != -1:
-			return fmt.Errorf("arbiter: channel %d token has circulated (pos %d, freed at %d)", i, c.freePos, c.freeAt)
-		}
-	}
-	return nil
-}
-
 // Reset returns every channel to its construction state and zeroes the
 // counters, keeping grown pending-queue capacity.
 func (t *TokenRing) Reset() {

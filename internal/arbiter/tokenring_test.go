@@ -7,6 +7,12 @@ import (
 	"corona/internal/sim"
 )
 
+// fnEvent adapts a closure to the typed sim.Handler path for inline test
+// schedules.
+type fnEvent func()
+
+func (f fnEvent) OnEvent(sim.Time, uint64) { f() }
+
 func newRing(t *testing.T) (*sim.Kernel, *TokenRing) {
 	t.Helper()
 	k := sim.NewKernel()
@@ -134,9 +140,9 @@ func TestRoundRobinFairnessUnderContention(t *testing.T) {
 			grants++
 			current = cluster
 			// Hold for 2 cycles (a message), then release and re-request.
-			k.Schedule(2, func() {
+			k.ScheduleEvent(2, fnEvent(func() {
 				tr.Release(0, current)
-			})
+			}), 0)
 		})
 	}
 	for cl := 0; cl < 64; cl++ {
@@ -164,12 +170,12 @@ func TestHighContentionUtilization(t *testing.T) {
 	rerequest = func(cluster int) {
 		tr.Request(0, cluster, func() {
 			grants++
-			k.Schedule(holdCycles, func() {
+			k.ScheduleEvent(holdCycles, fnEvent(func() {
 				tr.Release(0, cluster)
 				if grants < holds {
 					rerequest(cluster)
 				}
-			})
+			}), 0)
 		})
 	}
 	for cl := 0; cl < 64; cl++ {
@@ -242,19 +248,19 @@ func TestTokenRingSafetyLiveness(t *testing.T) {
 			grantCount[cl] = 0
 			hold := sim.Time(rng.Intn(10) + 1)
 			delay := sim.Time(rng.Intn(50))
-			k.Schedule(delay, func() {
+			k.ScheduleEvent(delay, fnEvent(func() {
 				tr.Request(7, cl, func() {
 					if holding {
 						ok = false
 					}
 					holding = true
 					grantCount[cl]++
-					k.Schedule(hold, func() {
+					k.ScheduleEvent(hold, fnEvent(func() {
 						holding = false
 						tr.Release(7, cl)
-					})
+					}), 0)
 				})
-			})
+			}), 0)
 		}
 		if k.RunLimit(1_000_000) >= 1_000_000 {
 			return false // livelock

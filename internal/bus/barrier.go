@@ -22,6 +22,8 @@ type Barrier struct {
 	arrived  []int // per-cluster count of observed arrivals (this generation)
 	released []func()
 	waiting  []bool
+	// stalled parks arrival pulses the bus refused, for broadcastRetry.
+	stalled sim.Slots[*noc.Message]
 
 	// Releases counts completed barrier episodes (any cluster's local
 	// release increments once per generation, at the last observer).
@@ -61,14 +63,22 @@ func (br *Barrier) Arrive(cluster int, release func()) {
 	m := br.b.Acquire()
 	m.ID, m.Src, m.Dst = br.gen, cluster, -1
 	m.Size, m.Kind = 1, noc.KindCoherence
-	var try func()
-	try = func() {
-		if !br.b.Broadcast(m) {
-			//lint:allow schedulepath cold backpressure retry; the recursive closure exists regardless and fires at most once per bus stall
-			br.k.Schedule(2, try)
-		}
+	if !br.b.Broadcast(m) {
+		br.k.ScheduleEvent(2, (*broadcastRetry)(br), br.stalled.Put(m))
 	}
-	try()
+}
+
+// broadcastRetry re-offers a refused arrival pulse every two cycles until
+// the bus accepts it; data is the pulse's stalled slot.
+type broadcastRetry Barrier
+
+func (e *broadcastRetry) OnEvent(_ sim.Time, slot uint64) {
+	br := (*Barrier)(e)
+	if !br.b.Broadcast(br.stalled.Get(slot)) {
+		br.k.ScheduleEvent(2, e, slot)
+		return
+	}
+	br.stalled.Free(slot)
 }
 
 // snoop counts arrivals at each cluster and releases it when complete.

@@ -3,8 +3,15 @@ package bus
 import (
 	"testing"
 
+	"corona/internal/noc"
 	"corona/internal/sim"
 )
+
+// fnEvent adapts a closure to the typed sim.Handler path for inline test
+// schedules.
+type fnEvent func()
+
+func (f fnEvent) OnEvent(sim.Time, uint64) { f() }
 
 func TestBarrierReleasesAllAfterLastArrival(t *testing.T) {
 	k := sim.NewKernel()
@@ -20,12 +27,12 @@ func TestBarrierReleasesAllAfterLastArrival(t *testing.T) {
 		if at > lastArrival {
 			lastArrival = at
 		}
-		k.At(at, func() {
+		k.AtEvent(at, fnEvent(func() {
 			br.Arrive(c, func() {
 				released[c] = k.Now()
 				releasedCount++
 			})
-		})
+		}), 0)
 	}
 	k.Run()
 	if releasedCount != 64 {
@@ -108,4 +115,33 @@ func TestBarrierSizeValidation(t *testing.T) {
 		}
 	}()
 	NewBarrier(b, 65)
+}
+
+// TestBarrierRetriesUnderBackPressure fills one arriving cluster's broadcast
+// FIFO with unrelated traffic, so its arrival pulse is refused and must be
+// re-offered until the FIFO drains; the barrier still releases everyone.
+func TestBarrierRetriesUnderBackPressure(t *testing.T) {
+	k := sim.NewKernel()
+	cfg := DefaultConfig()
+	b := New(k, cfg)
+	br := NewBarrier(b, 4)
+	for i := 0; i < cfg.InjectQueue; i++ {
+		if !b.Broadcast(&noc.Message{ID: uint64(i), Src: 2, Dst: -1, Size: 64, Kind: noc.KindInvalidate}) {
+			t.Fatalf("filler broadcast %d refused", i)
+		}
+	}
+	released := 0
+	for c := 0; c < 4; c++ {
+		br.Arrive(c, func() { released++ })
+	}
+	if br.stalled.Len() != 1 {
+		t.Fatalf("%d arrival pulses stalled, want 1 (cluster 2's)", br.stalled.Len())
+	}
+	k.Run()
+	if released != 4 || br.Releases != 1 {
+		t.Fatalf("released %d clusters over %d episodes, want 4 over 1", released, br.Releases)
+	}
+	if br.stalled.Len() != 0 {
+		t.Fatalf("%d pulses still stalled after the barrier released", br.stalled.Len())
+	}
 }

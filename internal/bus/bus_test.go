@@ -155,3 +155,46 @@ func TestInvalidBroadcastPanics(t *testing.T) {
 	}()
 	b.Broadcast(inv(1, 99))
 }
+
+// TestBusResetMatchesFresh pins the pooling contract for the broadcast bus:
+// a bus stopped mid-burst (queued broadcasts, snoops in flight, the token
+// away from home) and Reset together with its kernel must replay a different
+// burst exactly like a freshly built bus.
+func TestBusResetMatchesFresh(t *testing.T) {
+	burst := func(b *Bus, base uint64, srcs []int) {
+		for i, src := range srcs {
+			if !b.Broadcast(inv(base+uint64(i), src)) {
+				t.Fatalf("broadcast %d from %d refused", i, src)
+			}
+		}
+	}
+	k, b, got := harness(t, DefaultConfig())
+	burst(b, 100, []int{3, 3, 17, 40, 63, 5})
+	k.RunLimit(200)
+	if k.Pending() == 0 {
+		t.Fatal("dirty burst drained before the cut; Reset would start from a clean bus")
+	}
+	k.Reset()
+	b.Reset()
+	*got = (*got)[:0]
+
+	probe := []int{9, 60, 60, 1}
+	burst(b, 1, probe)
+	k.Run()
+
+	fk, fb, want := harness(t, DefaultConfig())
+	burst(fb, 1, probe)
+	fk.Run()
+	if len(*got) != len(*want) {
+		t.Fatalf("reset bus delivered %d snoops, fresh %d", len(*got), len(*want))
+	}
+	for i := range *want {
+		if (*got)[i] != (*want)[i] {
+			t.Fatalf("snoop %d: reset %+v, fresh %+v", i, (*got)[i], (*want)[i])
+		}
+	}
+	if b.Broadcasts != fb.Broadcasts || b.Bytes != fb.Bytes || b.BusyCycles != fb.BusyCycles {
+		t.Fatalf("counters: reset (%d, %d, %d), fresh (%d, %d, %d)",
+			b.Broadcasts, b.Bytes, b.BusyCycles, fb.Broadcasts, fb.Bytes, fb.BusyCycles)
+	}
+}

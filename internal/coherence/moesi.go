@@ -110,42 +110,6 @@ func New(n int, tr Transport) *Protocol {
 // Nodes returns the node count.
 func (p *Protocol) Nodes() int { return p.n }
 
-// Clone returns a deep copy of the protocol: directory entries, sharer sets,
-// per-node cache states, and counters are all independent of the original.
-// The transport is shared (it is a pair of caller-owned callbacks); pass the
-// clone new callbacks via SetTransport when forking a counting run. This is
-// the MOESI leg of the warmup-fork snapshot machinery (docs/DETERMINISM.md);
-// note the protocol is a functional state machine, not part of
-// core.System's timed model.
-func (p *Protocol) Clone() *Protocol {
-	c := &Protocol{
-		n:                  p.n,
-		BroadcastThreshold: p.BroadcastThreshold,
-		dir:                make(map[uint64]*dirEntry, len(p.dir)),
-		caches:             make([]map[uint64]State, p.n),
-		tr:                 p.tr,
-		stats:              p.stats,
-	}
-	for line, e := range p.dir {
-		ne := &dirEntry{owner: e.owner, sharers: make(map[int]bool, len(e.sharers))}
-		for s, v := range e.sharers {
-			ne.sharers[s] = v
-		}
-		c.dir[line] = ne
-	}
-	for i, m := range p.caches {
-		c.caches[i] = make(map[uint64]State, len(m))
-		for line, s := range m {
-			c.caches[i][line] = s
-		}
-	}
-	return c
-}
-
-// SetTransport replaces the protocol's transport callbacks (used after Clone
-// to point a fork at its own counters).
-func (p *Protocol) SetTransport(tr Transport) { p.tr = tr }
-
 // Stats returns protocol counters.
 func (p *Protocol) Stats() Stats { return p.stats }
 

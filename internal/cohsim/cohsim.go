@@ -176,8 +176,8 @@ func (e *busSendEvent) OnEvent(_ sim.Time, data uint64) {
 }
 
 // hopEvent runs an arrival continuation parked in atSlots after a fixed
-// latency: hub-local hops and memory-access delays ride it instead of the
-// allocating closure-compat Schedule path.
+// latency: hub-local hops and memory-access delays ride it on the kernel's
+// typed event path.
 type hopEvent System
 
 func (e *hopEvent) OnEvent(_ sim.Time, data uint64) {

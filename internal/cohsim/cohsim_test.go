@@ -8,6 +8,12 @@ import (
 	"corona/internal/sim"
 )
 
+// fnEvent adapts a closure to the typed sim.Handler path for inline test
+// schedules.
+type fnEvent func()
+
+func (f fnEvent) OnEvent(sim.Time, uint64) { f() }
+
 func TestColdReadCommits(t *testing.T) {
 	s := New(DefaultConfig())
 	done := false
@@ -149,7 +155,7 @@ func TestTimedProtocolProperty(t *testing.T) {
 			line := lines[rng.Intn(len(lines))]
 			write := rng.Intn(3) == 0
 			delay := sim.Time(rng.Intn(40))
-			s.K.Schedule(delay, func() { s.Access(node, line, write, nil) })
+			s.K.ScheduleEvent(delay, fnEvent(func() { s.Access(node, line, write, nil) }), 0)
 		}
 		// Drive manually: Access calls are scheduled, so Completed advances
 		// as the kernel drains.

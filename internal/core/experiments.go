@@ -95,7 +95,6 @@ type runConfig struct {
 	cacheDir    string
 	progress    func(Progress)
 	onCell      func(CellResult)
-	noWarmup    bool
 	precomputed map[int]Result
 	subset      []int
 }
@@ -117,15 +116,6 @@ func CacheDir(dir string) Option { return func(rc *runConfig) { rc.cacheDir = di
 // OnProgress registers a callback invoked after each cell completes. The
 // engine serializes invocations, so fn needs no locking of its own.
 func OnProgress(fn func(Progress)) Option { return func(rc *runConfig) { rc.progress = fn } }
-
-// Warmup toggles warmup forking (on by default). When on, the first cell of
-// each row's structural group replays the workload's fabric-independent
-// prefix — everything before the first remote miss can issue — once, snapshots
-// the machine at that barrier, and every other cell of the group forks from
-// the snapshot instead of re-simulating the prefix. Results are byte-identical
-// either way (the differential fork-equivalence suite pins this); Warmup(false)
-// is the reference path that byte-identity is asserted against.
-func Warmup(on bool) Option { return func(rc *runConfig) { rc.noWarmup = !on } }
 
 // Precomputed seeds the run with cells that are already known, keyed by
 // linear index (Row*len(Configs)+Col). Those cells skip simulation entirely
@@ -172,20 +162,7 @@ func onCell(fn func(CellResult)) Option { return func(rc *runConfig) { rc.onCell
 type rowStreams struct {
 	mu         sync.Mutex
 	byClusters map[int][][]trace.Record
-	warm       map[string]*warmupShared
 	remaining  int
-}
-
-// warmupShared is one row's shared warmup snapshot for one structural group
-// of configurations (same cluster count, MSHR capacity, hub latency, and
-// memory config — the parameters a snapshot restore requires to match; the
-// fabric is deliberately excluded). The first cell of the group to arrive
-// computes the snapshot under the once; the rest fork from it. A nil snap
-// after the once means the group has nothing to share (barrier at time zero,
-// or the snapshot failed) and cells replay from scratch.
-type warmupShared struct {
-	once sync.Once
-	snap *WarmupSnapshot
 }
 
 // acquire returns the row's materialized stream for a machine of `clusters`
@@ -205,30 +182,12 @@ func (r *rowStreams) acquire(spec traffic.Spec, clusters, requests int, seed uin
 	return s
 }
 
-// warmup returns the row's shared warmup state for one structural group,
-// creating it on first use.
-func (r *rowStreams) warmup(key string) *warmupShared {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.warm == nil {
-		r.warm = make(map[string]*warmupShared)
-	}
-	ws := r.warm[key]
-	if ws == nil {
-		ws = &warmupShared{}
-		r.warm[key] = ws
-	}
-	return ws
-}
-
-// release records one finished cell; the last one frees the row's streams
-// and warmup snapshots.
+// release records one finished cell; the last one frees the row's streams.
 func (r *rowStreams) release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.remaining--; r.remaining == 0 {
 		r.byClusters = nil
-		r.warm = nil
 	}
 }
 
@@ -274,49 +233,12 @@ func (p *systemPool) put(col int, sys *System) {
 	p.mu.Unlock()
 }
 
-// warmupGroupKey names the structural group a configuration's cells share a
-// warmup snapshot within: the parameters System.Restore requires to match.
-// The fabric is excluded — restoring one group's snapshot under different
-// fabrics is the point of warmup forking.
-func warmupGroupKey(sys *System) string {
-	return fmt.Sprintf("%d/%d/%d/%+v", sys.Cfg.Clusters, sys.Cfg.MSHRs, sys.Cfg.HubLatency, sys.Cfg.MemConfig())
-}
-
-// warmupSnap returns the row's shared warmup snapshot for sys's structural
-// group, computing it on first use by replaying the fabric-independent prefix
-// on sys itself (the donor) up to the warmup barrier and snapshotting there.
-// A nil snapshot means there is nothing to share — the barrier is at time
-// zero, or capturing failed — and the caller replays from scratch; dirty
-// reports that sys advanced past construction state without yielding a
-// snapshot and must be reset before that scratch replay.
-func (s *Sweep) warmupSnap(sys *System, name string, row *rowStreams, buckets [][]trace.Record) (snap *WarmupSnapshot, dirty bool) {
-	ws := row.warmup(warmupGroupKey(sys))
-	ws.once.Do(func() {
-		barrier := WarmupHorizon(buckets)
-		if barrier == 0 {
-			return
-		}
-		r, err := ReplayRunner(sys, name, buckets)
-		if err != nil {
-			return
-		}
-		r.RunToBarrier(barrier)
-		captured, err := r.Snapshot()
-		if err != nil {
-			dirty = true
-			return
-		}
-		ws.snap = captured
-	})
-	return ws.snap, dirty
-}
-
 // runCellSafe wraps runCell in a panic barrier and the chaos suite's cell
-// fault point. A panic anywhere in the cell's simulation — a model bug, a
-// corrupt snapshot, an injected fault — becomes a *PanicError that fails
+// fault point. A panic anywhere in the cell's simulation — a model bug or an
+// injected fault — becomes a *PanicError that fails
 // this sweep only: the worker pool, the process, and (behind corona-serve)
 // every other job keep running.
-func (s *Sweep) runCellSafe(ctx context.Context, cfg config.System, spec traffic.Spec, row *rowStreams, seed uint64, pool *systemPool, col int, noWarmup bool) (res Result, err error) {
+func (s *Sweep) runCellSafe(ctx context.Context, cfg config.System, spec traffic.Spec, row *rowStreams, seed uint64, pool *systemPool, col int) (res Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: debug.Stack()}
@@ -325,35 +247,18 @@ func (s *Sweep) runCellSafe(ctx context.Context, cfg config.System, spec traffic
 	if err := faultinject.Fire("core.cell.run"); err != nil {
 		return Result{}, err
 	}
-	return s.runCell(ctx, cfg, spec, row, seed, pool, col, noWarmup)
+	return s.runCell(ctx, cfg, spec, row, seed, pool, col)
 }
 
 // runCell simulates one sweep cell by replaying the row's shared stream on a
-// pooled (or freshly built) machine. With warmup on, the cell forks from its
-// structural group's shared barrier snapshot instead of replaying the
-// fabric-independent prefix; every fallback path below lands on the scratch
-// replay, so a cell can never fail because forking was unavailable.
-func (s *Sweep) runCell(ctx context.Context, cfg config.System, spec traffic.Spec, row *rowStreams, seed uint64, pool *systemPool, col int, noWarmup bool) (Result, error) {
+// pooled (or freshly built) machine.
+func (s *Sweep) runCell(ctx context.Context, cfg config.System, spec traffic.Spec, row *rowStreams, seed uint64, pool *systemPool, col int) (Result, error) {
 	sys, err := pool.get(col, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	defer func() { pool.put(col, sys) }()
+	defer pool.put(col, sys)
 	buckets := row.acquire(spec, sys.Cfg.Clusters, s.Requests, seed)
-	if !noWarmup {
-		snap, dirty := s.warmupSnap(sys, spec.Name, row, buckets)
-		if snap != nil {
-			if fr, err := ForkRunner(sys, snap); err == nil {
-				return fr.Run(ctx)
-			}
-			dirty = true // a failed restore leaves the kernel reset, not the system
-		}
-		if dirty && sys.Reset() != nil {
-			if sys, err = NewSystem(cfg); err != nil {
-				return Result{}, err
-			}
-		}
-	}
 	r, err := ReplayRunner(sys, spec.Name, buckets)
 	if err != nil {
 		return Result{}, err
@@ -439,7 +344,7 @@ func (s *Sweep) Run(ctx context.Context, opts ...Option) error {
 		}
 		if !cached {
 			var err error
-			res, err = s.runCellSafe(runCtx, cfg, spec, rows[w], seed, pool, c, rc.noWarmup)
+			res, err = s.runCellSafe(runCtx, cfg, spec, rows[w], seed, pool, c)
 			if err != nil {
 				mu.Lock()
 				// Cancellations are either the outer ctx (reported below) or

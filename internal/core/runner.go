@@ -71,10 +71,6 @@ type Runner struct {
 	pending    []trace.Record // head record per cluster, valid when hasPending
 	hasPending []bool
 	waiting    []bool // a timed wake-up is scheduled
-
-	// pumped records that the initial per-cluster pump has run, so Run does
-	// not repeat it after RunToBarrier or on a runner forked mid-replay.
-	pumped bool
 }
 
 // NewRunner builds a runner issuing `requests` synthetic misses split evenly
@@ -248,11 +244,8 @@ func (r *Runner) Run(ctx context.Context) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, &CanceledError{Completed: 0, Total: r.requests, Err: err}
 	}
-	if !r.pumped {
-		for c := 0; c < r.sys.Cfg.Clusters; c++ {
-			r.pump(c)
-		}
-		r.pumped = true
+	for c := 0; c < r.sys.Cfg.Clusters; c++ {
+		r.pump(c)
 	}
 	done := ctx.Done()
 	sinceCheck := 0

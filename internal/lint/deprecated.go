@@ -7,13 +7,11 @@ import (
 )
 
 // DeprecatedCaller fences off the repository's deprecated compatibility
-// surfaces. The blocking façade wrappers (corona.RunWorkload and friends)
-// exist only so external users of old releases keep compiling; everything
-// in-repo must use the context-aware Client API (docs/API.md). This
-// analyzer replaces the old CI grep gate — which keyed on spelled-out
-// function names and died on any rename — with a semantic check: any use of
-// an object whose doc comment carries a "Deprecated:" paragraph is
-// reported, wherever the object migrates.
+// surfaces: a symbol kept only so external users of old releases keep
+// compiling must have no in-repo caller. The check is semantic rather than
+// a list of spelled-out names: any use of an object whose doc comment
+// carries a "Deprecated:" paragraph is reported, wherever the object
+// migrates.
 //
 // Deprecation facts travel between compilation units in corona-vet's vetx
 // files, so cross-package calls are caught under `go vet`'s separate
@@ -63,7 +61,7 @@ func runDeprecatedCaller(pass *analysis.Pass) error {
 				}
 			}
 			pass.Reportf(id.Pos(),
-				"%s is deprecated: see its Deprecated: doc note for the replacement (the compat façades map to the Client API, docs/API.md)", key)
+				"%s is deprecated: see its Deprecated: doc note for the replacement", key)
 			return true
 		})
 	}

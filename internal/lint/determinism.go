@@ -9,7 +9,7 @@ import (
 
 // Determinism forbids nondeterminism sources inside the simulation core.
 // The repo's headline contract — a sweep is byte-identical at any worker
-// count, across runs, machines, and snapshot/restore (docs/DETERMINISM.md) —
+// count, across runs and machines (docs/DETERMINISM.md) —
 // dies the moment simulated behavior observes wall-clock time, the global
 // math/rand stream (shared, lock-ordered, seeded by the runtime), crypto
 // randomness, or Go's randomized map iteration order on a path that feeds

@@ -1,9 +1,8 @@
 // Package lint is corona-vet: a suite of static-analysis invariants that
 // keep the repository's core guarantees — byte-identical deterministic
-// sweeps, zero-allocation pooled message flow, the typed schedule path,
-// disciplined fault-point naming, structured logging, and a deprecation
-// fence — enforced by the compiler toolchain instead of convention and CI
-// greps. The suite compiles into cmd/corona-vet and runs as
+// sweeps, zero-allocation pooled message flow, disciplined fault-point
+// naming, structured logging, and a deprecation fence — enforced by the
+// compiler toolchain instead of convention and CI greps. The suite compiles into cmd/corona-vet and runs as
 // `go vet -vettool=corona-vet ./...`; docs/LINTING.md is the catalog.
 //
 // Intentional violations are annotated in place:
@@ -27,7 +26,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Determinism,
-		SchedulePath,
 		PoolFlow,
 		FaultPoint,
 		LogDiscipline,
@@ -51,7 +49,7 @@ func Names() map[string]bool {
 // legitimate operational state there.
 var simPackages = map[string]bool{
 	"sim": true, "core": true, "noc": true, "xbar": true, "mesh": true,
-	"swmr": true, "bus": true, "netif": true, "memory": true, "cohsim": true,
+	"swmr": true, "bus": true, "memory": true, "cohsim": true,
 	"coherence": true, "arbiter": true, "stats": true, "trace": true,
 	"traffic": true, "photonic": true, "power": true,
 }
@@ -80,11 +78,6 @@ func inSimScope(pkgPath string) bool {
 		}
 	}
 	return false
-}
-
-// splitPath splits a normalized package path into segments.
-func splitPath(pkgPath string) []string {
-	return strings.Split(normalizePkgPath(pkgPath), "/")
 }
 
 // normalizePkgPath strips go vet's test-variant decorations; see
@@ -116,30 +109,6 @@ func funcFrom(fn *types.Func, pathOK func(string) bool) bool {
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() == nil
-}
-
-// methodOn reports whether fn is a method whose receiver's named type is
-// typeName declared in a package satisfying pathOK.
-func methodOn(fn *types.Func, typeName string, pathOK func(string) bool) bool {
-	if fn == nil || fn.Pkg() == nil || !pathOK(fn.Pkg().Path()) {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return namedTypeName(sig.Recv().Type()) == typeName
-}
-
-// namedTypeName unwraps pointers and returns the named type's name, or "".
-func namedTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
 }
 
 // isNamedFrom reports whether t (after unwrapping pointers) is the named

@@ -183,12 +183,10 @@ type inflightReq struct {
 	start sim.Time
 }
 
-// spaceWaiter is one queued NotifySpace registration: either a typed
-// (handler, data) pair or a legacy closure.
+// spaceWaiter is one queued NotifySpaceEvent registration.
 type spaceWaiter struct {
 	h    sim.Handler
 	data uint64
-	fn   func()
 }
 
 // finishEvent is the controller's typed completion handler: it fires at a
@@ -201,12 +199,7 @@ func (e *finishEvent) OnEvent(now sim.Time, data uint64) {
 	c.queued--
 	if !c.waiters.Empty() {
 		w := c.waiters.Pop()
-		if w.h != nil {
-			c.k.ScheduleEvent(0, w.h, w.data)
-		} else {
-			//lint:allow schedulepath compat branch for closure waiters registered via NotifySpace; the hot path is the typed arm above
-			c.k.Schedule(0, w.fn)
-		}
+		c.k.ScheduleEvent(0, w.h, w.data)
 	}
 	c.Served++
 	c.BytesMoved += uint64(f.r.ReqBytes + f.r.RspBytes)
@@ -266,6 +259,21 @@ func NewController(k *sim.Kernel, cfg Config, id int) *Controller {
 	return c
 }
 
+// Reset returns the controller to its just-constructed state, keeping grown
+// storage so a pooled controller's next run allocates nothing.
+func (c *Controller) Reset() {
+	c.inLink.booked = c.inLink.booked[:0]
+	if !c.cfg.HalfDuplex {
+		c.outLink.booked = c.outLink.booked[:0]
+	}
+	clear(c.banks)
+	c.queued = 0
+	c.waiters.Reset()
+	c.inflight.Reset()
+	c.Served, c.BytesMoved, c.QueueFullRefusals = 0, 0, 0
+	c.TotalLatency = 0
+}
+
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
@@ -323,22 +331,9 @@ func (c *Controller) Submit(r *Request) bool {
 	return true
 }
 
-// NotifySpace registers a one-shot callback invoked as soon as a queue slot
-// is (or becomes) available, replacing poll-and-retry at the hub. Callbacks
-// fire in registration order, one per retirement.
-func (c *Controller) NotifySpace(fn func()) {
-	if c.queued < c.cfg.QueueDepth {
-		//lint:allow schedulepath NotifySpace is itself the closure-compat surface; allocation-free callers use NotifySpaceEvent
-		c.k.Schedule(0, fn)
-		return
-	}
-	c.waiters.Push(spaceWaiter{fn: fn})
-}
-
-// NotifySpaceEvent is NotifySpace on the typed event path: h.OnEvent(now,
-// data) fires as soon as a queue slot is (or becomes) available, with no
-// closure allocated. Typed and closure waiters share one FIFO, so mixed
-// registrations still fire strictly in order.
+// NotifySpaceEvent registers a one-shot h.OnEvent(now, data) that fires as
+// soon as a queue slot is (or becomes) available, replacing poll-and-retry at
+// the hub. Waiters fire in registration order, one per retirement.
 func (c *Controller) NotifySpaceEvent(h sim.Handler, data uint64) {
 	if c.queued < c.cfg.QueueDepth {
 		c.k.ScheduleEvent(0, h, data)

@@ -272,41 +272,6 @@ func New(k *sim.Kernel, cfg Config) *Mesh {
 // Name implements noc.Network.
 func (m *Mesh) Name() string { return m.cfg.Name }
 
-// Quiescent implements noc.Quiescer: nil only when the mesh is in its
-// construction state — idle ports, empty VC queues, full credit pools, no
-// in-flight packets.
-func (m *Mesh) Quiescent() error {
-	for r := 0; r < m.n; r++ {
-		for d := dir(0); d < numDirs; d++ {
-			p := m.port(r, d)
-			if p.busyUntil != 0 || p.wakeSet || p.rr != 0 {
-				return fmt.Errorf("mesh: port (%d,%d) has been active", r, d)
-			}
-			for c := 0; c < numClasses; c++ {
-				if !p.q[c].Empty() {
-					return fmt.Errorf("mesh: port (%d,%d) class %d holds %d packets", r, d, c, p.q[c].Len())
-				}
-				want := m.cfg.LinkBuffer
-				if d == dirEject {
-					want = m.cfg.RecvBuffer / numClasses
-				}
-				if p.credits[c] != want {
-					return fmt.Errorf("mesh: port (%d,%d) class %d holds %d/%d credits", r, d, c, p.credits[c], want)
-				}
-			}
-		}
-		for c := 0; c < numClasses; c++ {
-			if n := m.injectCount[r*numClasses+c]; n != 0 {
-				return fmt.Errorf("mesh: cluster %d class %d has %d packets injecting", r, c, n)
-			}
-		}
-	}
-	if n := m.slots.Len(); n != 0 {
-		return fmt.Errorf("mesh: %d packets in flight", n)
-	}
-	return nil
-}
-
 // Reset implements noc.Resetter: restore the construction state in place,
 // keeping the message pool, packet pool, and grown queue capacity. Delivery
 // callbacks are left installed; a reusing System overwrites them via

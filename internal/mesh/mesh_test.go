@@ -8,6 +8,12 @@ import (
 	"corona/internal/sim"
 )
 
+// fnEvent adapts a closure to the typed sim.Handler path for inline test
+// schedules.
+type fnEvent func()
+
+func (f fnEvent) OnEvent(sim.Time, uint64) { f() }
+
 type harness struct {
 	k    *sim.Kernel
 	m    *Mesh
@@ -299,7 +305,7 @@ func TestMeshVsXBarShapedBandwidth(t *testing.T) {
 				dst++
 			}
 			m.Send(msg(id, src, dst, 64, noc.KindResponse))
-			k.Schedule(2, func() { pump(src) })
+			k.ScheduleEvent(2, fnEvent(func() { pump(src) }), 0)
 		}
 		for c := 0; c < 64; c++ {
 			pump(c)

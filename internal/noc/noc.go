@@ -170,19 +170,6 @@ type Network interface {
 	Stats() Stats
 }
 
-// Quiescer is the optional interface of networks that can assert they hold
-// no in-flight state. The warmup-fork snapshot contract
-// (docs/DETERMINISM.md) requires the network to be untouched — no queued
-// messages, no outstanding credits, no arbitration in progress, no scheduled
-// events — at the fork barrier, so that a snapshot taken under one fabric
-// restores exactly into any other.
-type Quiescer interface {
-	// Quiescent returns nil when the network is in its pre-divergence
-	// (construction) state, and a descriptive error naming the first
-	// in-flight resource otherwise.
-	Quiescent() error
-}
-
 // Resetter is the optional interface of networks that can return to their
 // just-constructed state in place, retaining grown buffer capacity. The
 // sweep engine uses it to reuse one network (and its whole System) across

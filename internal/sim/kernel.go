@@ -10,15 +10,12 @@
 // The scheduler is a hierarchical time wheel (calendar queue) with an
 // overflow heap, dispatching from pooled event nodes held in one flat slice
 // and linked by index: steady-state scheduling allocates nothing, both
-// Schedule and Step are O(1) for the near-future events that dominate
+// ScheduleEvent and Step are O(1) for the near-future events that dominate
 // cycle-accurate models, and the index links keep the bucket push/pop hot
-// path free of pointer write barriers. The flat layout is also what makes
-// Snapshot/Restore — the warmup-forking substrate (docs/DETERMINISM.md) — a
-// handful of slice copies. Components on the hot path use the typed
-// ScheduleEvent/Handler fast path instead of closure capture;
-// Schedule(delay, func()) remains as the compatibility path. The layout, the
-// ordering guarantee, and the measured win over the former container/heap
-// kernel are documented in docs/PERFORMANCE.md.
+// path free of pointer write barriers. Every event is a typed Handler plus a
+// data word (ScheduleEvent/AtEvent); there is no closure capture. The
+// layout, the ordering guarantee, and the measured win over the former
+// container/heap kernel are documented in docs/PERFORMANCE.md.
 package sim
 
 import (
@@ -68,8 +65,8 @@ type Handler interface {
 // eventNode is one scheduled event. Nodes live in the kernel's flat node
 // slice and are linked by index (next threads the wheel's bucket FIFOs and
 // the free list), so steady-state scheduling performs no allocation and the
-// links carry no write barriers. Exactly one of h and fn is set on a live
-// node; index 0 is the shared nil sentinel.
+// links carry no write barriers. h is set on every live node; index 0 is the
+// shared nil sentinel.
 type eventNode struct {
 	when Time
 	seq  uint64
@@ -77,7 +74,6 @@ type eventNode struct {
 
 	h    Handler
 	data uint64
-	fn   func()
 }
 
 // Wheel geometry: three levels of 256 power-of-two cycle buckets. Level L
@@ -156,35 +152,16 @@ func (k *Kernel) Pending() int { return k.pending }
 // Executed returns the number of events dispatched so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
-// Schedule runs fn after delay cycles (possibly zero, meaning "later this
-// cycle", after already-queued events for the current time). This is the
-// closure compatibility path; hot code should use ScheduleEvent.
-func (k *Kernel) Schedule(delay Time, fn func()) {
-	k.At(k.now+delay, fn)
-}
-
-// At runs fn at absolute time t. Scheduling in the past is a programming
-// error and panics: silent time travel corrupts causality in queue models.
-func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: event scheduled at %d, before now %d", t, k.now))
-	}
-	n := k.newNode()
-	k.seq++
-	nd := &k.nodes[n]
-	nd.when, nd.seq, nd.fn = t, k.seq, fn
-	k.enqueue(n)
-}
-
-// ScheduleEvent runs h.OnEvent(now, data) after delay cycles: the typed,
-// zero-allocation fast path. Ordering is identical to Schedule — one shared
-// sequence counter breaks same-cycle ties across both paths.
+// ScheduleEvent runs h.OnEvent(now, data) after delay cycles (possibly zero,
+// meaning "later this cycle", after already-queued events for the current
+// time). Scheduling allocates nothing once the node arena has grown.
 func (k *Kernel) ScheduleEvent(delay Time, h Handler, data uint64) {
 	k.AtEvent(k.now+delay, h, data)
 }
 
-// AtEvent runs h.OnEvent(t, data) at absolute time t; it panics on a nil
-// handler or a past timestamp.
+// AtEvent runs h.OnEvent(t, data) at absolute time t. A nil handler or a
+// past timestamp panics: silent time travel corrupts causality in queue
+// models.
 func (k *Kernel) AtEvent(t Time, h Handler, data uint64) {
 	if h == nil {
 		panic("sim: AtEvent with nil handler")
@@ -211,13 +188,7 @@ func (k *Kernel) newNode() int32 {
 
 func (k *Kernel) releaseNode(n int32) {
 	nd := &k.nodes[n]
-	// Zeroed h/fn mark the node free (Snapshot's liveness test). fn is nil on
-	// the typed path, which is every hot-path event; the branch skips its
-	// pointer write barrier there.
 	nd.h, nd.data = nil, 0
-	if nd.fn != nil {
-		nd.fn = nil
-	}
 	nd.next = k.free
 	k.free = n
 }
@@ -457,15 +428,9 @@ func (k *Kernel) Step() bool {
 	k.now = nd.when
 	k.executed++
 	// Release before dispatch so the handler's own scheduling reuses the node.
-	if h := nd.h; h != nil {
-		data := nd.data
-		k.releaseNode(n)
-		h.OnEvent(k.now, data)
-	} else {
-		fn := nd.fn
-		k.releaseNode(n)
-		fn()
-	}
+	h, data := nd.h, nd.data
+	k.releaseNode(n)
+	h.OnEvent(k.now, data)
 	return true
 }
 
@@ -492,22 +457,6 @@ func (k *Kernel) RunUntil(t Time) {
 	}
 }
 
-// RunBefore executes events with timestamps strictly less than t, leaving
-// the clock at the last dispatched event — unlike RunUntil it never coasts
-// the clock forward, so the kernel's state afterwards is exactly the state
-// an uninterrupted run passes through between two events. It is the
-// run-to-warmup-barrier primitive (docs/DETERMINISM.md).
-func (k *Kernel) RunBefore(t Time) {
-	k.stopped = false
-	for !k.stopped {
-		when, ok := k.peek()
-		if !ok || when >= t {
-			return
-		}
-		k.Step()
-	}
-}
-
 // RunLimit executes at most n further events; it returns the number executed.
 // Useful as a safety net in tests.
 func (k *Kernel) RunLimit(n uint64) uint64 {
@@ -523,3 +472,22 @@ func (k *Kernel) RunLimit(n uint64) uint64 {
 
 // Stop halts Run/RunUntil after the currently executing event returns.
 func (k *Kernel) Stop() { k.stopped = true }
+
+// Reset returns the kernel to its just-constructed state — time zero, no
+// events — retaining grown node-arena and heap capacity so a pooled kernel's
+// next run schedules without allocating.
+func (k *Kernel) Reset() {
+	k.now, k.seq, k.executed, k.base = 0, 0, 0, 0
+	k.stopped = false
+	k.levels = [wheelLevels]wheelLevel{}
+	k.cur0 = 0
+	k.wheelCount, k.pending = 0, 0
+	k.overflow = k.overflow[:0]
+	if len(k.nodes) == 0 {
+		k.nodes = make([]eventNode, 1, 1024)
+		return
+	}
+	clear(k.nodes[:cap(k.nodes)])
+	k.nodes = k.nodes[:1]
+	k.free = 0
+}

@@ -60,26 +60,3 @@ func (s *Slots[T]) Reset() {
 	s.items = s.items[:0]
 	s.free = s.free[:0]
 }
-
-// CopyFrom overwrites s with an exact copy of src: same slot contents, same
-// free-list order, so indices already threaded through scheduled event data
-// words remain valid in the copy. Part of the snapshot/restore substrate
-// (docs/DETERMINISM.md).
-func (s *Slots[T]) CopyFrom(src *Slots[T]) {
-	// Clear the retained tail beyond the new length so old payload references
-	// do not linger in capacity.
-	if len(s.items) > len(src.items) {
-		clear(s.items[len(src.items):])
-	}
-	s.items = append(s.items[:0], src.items...)
-	s.free = append(s.free[:0], src.free...)
-}
-
-// Walk calls fn for every slot's storage, including freed slots (which hold
-// zero values): restore paths use it to remap handler references held inside
-// parked payloads in place.
-func (s *Slots[T]) Walk(fn func(id uint64, v *T)) {
-	for i := range s.items {
-		fn(uint64(i), &s.items[i])
-	}
-}

@@ -82,7 +82,8 @@ func childDelays(id, budget uint64) []Time {
 
 // diffDriver runs the wheel side of the differential test: every dispatched
 // event records (when, id) and schedules its children, alternating between
-// the typed and closure paths so both funnel through the ordering machinery.
+// the driver itself and a closure adapter, so handlers of different types
+// share the ordering machinery.
 type diffDriver struct {
 	k      *Kernel
 	got    []refEvent
@@ -98,7 +99,7 @@ func (d *diffDriver) OnEvent(now Time, id uint64) {
 		d.nextID++
 		if cid%3 == 0 {
 			k := d.k
-			k.Schedule(delay, func() { d.OnEvent(k.Now(), cid) })
+			schedule(k, delay, func() { d.OnEvent(k.Now(), cid) })
 		} else {
 			d.k.ScheduleEvent(delay, d, cid)
 		}

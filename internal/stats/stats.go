@@ -155,20 +155,6 @@ func (h *Histogram) Reset() {
 	h.dirty = false
 }
 
-// CopyFrom overwrites h with an exact copy of src's observations (and its
-// rawCap), reusing h's storage. The selection scratch is not copied — the
-// copy refills it lazily on its first percentile query, which yields
-// identical results.
-func (h *Histogram) CopyFrom(src *Histogram) {
-	h.Sample = src.Sample
-	h.rawCap = src.rawCap
-	h.raw = append(h.raw[:0], src.raw...)
-	h.buckets = src.buckets
-	h.overflow = src.overflow
-	h.scratch = h.scratch[:0]
-	h.dirty = len(h.raw) > 0
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100). When the raw
 // reservoir holds every observation the result is exact; otherwise it falls
 // back to a bucket-midpoint estimate.

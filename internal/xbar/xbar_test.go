@@ -8,6 +8,12 @@ import (
 	"corona/internal/sim"
 )
 
+// fnEvent adapts a closure to the typed sim.Handler path for inline test
+// schedules.
+type fnEvent func()
+
+func (f fnEvent) OnEvent(sim.Time, uint64) { f() }
+
 // harness wires a crossbar with auto-consuming sinks that record arrivals.
 type harness struct {
 	k    *sim.Kernel
@@ -295,9 +301,9 @@ func TestAggregateBandwidth(t *testing.T) {
 	pump = func(src, dst int) {
 		id++
 		if x.Send(msg(id, src, dst, 64)) {
-			k.Schedule(1, func() { pump(src, dst) })
+			k.ScheduleEvent(1, fnEvent(func() { pump(src, dst) }), 0)
 		} else {
-			k.Schedule(2, func() { pump(src, dst) })
+			k.ScheduleEvent(2, fnEvent(func() { pump(src, dst) }), 0)
 		}
 	}
 	for c := 0; c < 64; c++ {
