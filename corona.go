@@ -131,8 +131,9 @@ func AllWorkloads() []Workload { return core.AllWorkloads() }
 
 // Client is the context-aware execution entry point: one-shot runs, trace
 // replays, config comparisons, and streaming sweep Jobs, all returning
-// typed errors instead of panicking. A Client is immutable and safe for
-// concurrent use — build one per process (or per server) with NewClient.
+// typed errors instead of panicking. A Client has a fixed configuration,
+// owns a bounded machine pool, and is safe for concurrent use — build one
+// per process (or per server) with NewClient, so its jobs reuse machines.
 type Client = core.Client
 
 // ClientOption configures a NewClient call.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"corona/internal/config"
@@ -16,12 +17,17 @@ import (
 // finish. A Client carries the execution defaults — worker pool size and
 // cache directory — so a server (or any concurrent caller) configures them
 // once and submits from many goroutines; the zero-value-equivalent
-// NewClient() uses GOMAXPROCS workers and no cache. Clients are immutable
-// after construction and safe for concurrent use. See docs/API.md for the
-// model and the migration table from the legacy blocking calls.
+// NewClient() uses GOMAXPROCS workers and no cache. A Client has a fixed
+// configuration, owns a bounded machine pool — repeated calls reuse built
+// machines, and idle ones stay within one call's (borrow, restore) — and is
+// safe for concurrent use. See docs/API.md for the model and the migration
+// table from the legacy blocking calls.
 type Client struct {
 	workers  int
 	cacheDir string
+
+	mu   sync.Mutex
+	idle map[string][]*System // machineKey -> Reset machines
 }
 
 // ClientOption configures a NewClient call.
@@ -50,21 +56,25 @@ func NewClient(opts ...ClientOption) *Client {
 // Invalid configurations return a *ConfigError; a canceled ctx returns a
 // *CanceledError.
 func (c *Client) Run(ctx context.Context, cfg config.System, spec traffic.Spec, requests int, seed uint64) (Result, error) {
-	return Run(ctx, cfg, spec, requests, seed)
+	return c.runOne(ctx, cfg, func(sys *System) (*Runner, error) {
+		return NewRunner(sys, spec, requests, seed), nil
+	})
 }
 
 // Replay replays recorded L2 misses on cfg, mapping trace thread ids onto
 // clusters threadsPerCluster at a time (16 for a full 1024-thread Corona).
 func (c *Client) Replay(ctx context.Context, cfg config.System, recs []trace.Record, threadsPerCluster int) (Result, error) {
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	r, err := NewTraceRunner(sys, recs, threadsPerCluster)
-	if err != nil {
-		return Result{}, err
-	}
-	return r.Run(ctx)
+	return c.runOne(ctx, cfg, func(sys *System) (*Runner, error) {
+		return NewTraceRunner(sys, recs, threadsPerCluster)
+	})
+}
+
+// runOne runs a single cell on a machine borrowed from the Client's pool.
+func (c *Client) runOne(ctx context.Context, cfg config.System, mk func(*System) (*Runner, error)) (Result, error) {
+	key := machineKey(cfg)
+	pool := c.borrow([]string{key}, 1)
+	defer c.restore(pool)
+	return pool.run(ctx, key, cfg, mk)
 }
 
 // Compare runs spec on several machines concurrently under identical
@@ -79,7 +89,42 @@ func (c *Client) Compare(ctx context.Context, spec traffic.Spec, requests int, s
 	for i, cfg := range configs {
 		cells[i] = Cell{Config: cfg, Spec: spec, Requests: requests, Seed: seed}
 	}
-	return RunCells(ctx, cells, c.workers)
+	return c.runCells(ctx, cells, c.workers)
+}
+
+// borrow opens one call's machine pool, stocked with up to `workers` of the
+// Client's idle machines for each key the call uses; the rest of those keys'
+// idle machines are dropped, so the call never holds more than `workers`
+// machines per configuration. A nil Client — Sweep.Run, RunCells and Run
+// called directly — lends nothing: the call pools within itself only.
+func (c *Client) borrow(keys []string, workers int) *machinePool {
+	p := &machinePool{free: make(map[string][]*System, len(keys))}
+	if c == nil {
+		return p
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, k := range keys {
+		if idle, ok := c.idle[k]; ok {
+			n := min(len(idle), workers)
+			clear(idle[n:])
+			p.free[k] = idle[:n]
+			delete(c.idle, k)
+		}
+	}
+	return p
+}
+
+// restore ends a call: its pool's machines, every one Reset, become the
+// Client's idle set, replacing whatever was idle before. Call it only once
+// the call's cells have all finished.
+func (c *Client) restore(p *machinePool) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.idle = p.free
+	c.mu.Unlock()
 }
 
 // Submit starts s running asynchronously and returns a Job handle
@@ -115,7 +160,7 @@ func (c *Client) Submit(ctx context.Context, s *Sweep, opts ...Option) (*Job, er
 		cancel:  cancel,
 	}
 	run := append([]Option{Workers(c.workers), CacheDir(c.cacheDir)}, opts...)
-	run = append(run, onCell(func(cell CellResult) {
+	run = append(run, withClient(c), onCell(func(cell CellResult) {
 		j.completed.Add(1)
 		j.results <- cell
 	}))

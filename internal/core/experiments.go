@@ -9,7 +9,6 @@ import (
 
 	"corona/internal/config"
 	"corona/internal/faultinject"
-	"corona/internal/noc"
 	"corona/internal/splash"
 	"corona/internal/stats"
 	"corona/internal/trace"
@@ -97,6 +96,7 @@ type runConfig struct {
 	onCell      func(CellResult)
 	precomputed map[int]Result
 	subset      []int
+	client      *Client
 }
 
 // Option configures one Sweep.Run invocation.
@@ -149,6 +149,10 @@ func Subset(indices []int) Option {
 // of waiting for the matrix barrier.
 func onCell(fn func(CellResult)) Option { return func(rc *runConfig) { rc.onCell = fn } }
 
+// withClient runs the sweep on the Client's machine pool (Client.Submit);
+// without it Sweep.Run pools machines within the call only.
+func withClient(c *Client) Option { return func(rc *runConfig) { rc.client = c } }
+
 // rowStreams coordinates one sweep row's shared traffic: the workload's
 // miss stream is materialized once (lazily, by the first cell of the row
 // that actually simulates) and replayed read-only by every configuration in
@@ -191,54 +195,13 @@ func (r *rowStreams) release() {
 	}
 }
 
-// systemPool recycles built machines across a sweep's cells, one free list
-// per configuration column. A column's systems are structurally identical, so
-// get pops one and Resets it to construction state (falling back to a fresh
-// build if the fabric cannot reset in place); put parks only systems whose
-// fabric supports reset. Pooling kills the per-cell construction garbage that
-// previously dominated sweep allocation.
-type systemPool struct {
-	mu   sync.Mutex
-	free [][]*System
-}
-
-func newSystemPool(columns int) *systemPool {
-	return &systemPool{free: make([][]*System, columns)}
-}
-
-func (p *systemPool) get(col int, cfg config.System) (*System, error) {
-	p.mu.Lock()
-	var sys *System
-	if n := len(p.free[col]); n > 0 {
-		sys = p.free[col][n-1]
-		p.free[col][n-1] = nil
-		p.free[col] = p.free[col][:n-1]
-	}
-	p.mu.Unlock()
-	if sys != nil && sys.Reset() == nil {
-		return sys, nil
-	}
-	return NewSystem(cfg)
-}
-
-func (p *systemPool) put(col int, sys *System) {
-	if sys == nil {
-		return
-	}
-	if _, ok := sys.Net.(noc.Resetter); !ok {
-		return
-	}
-	p.mu.Lock()
-	p.free[col] = append(p.free[col], sys)
-	p.mu.Unlock()
-}
-
-// runCellSafe wraps runCell in a panic barrier and the chaos suite's cell
-// fault point. A panic anywhere in the cell's simulation — a model bug or an
-// injected fault — becomes a *PanicError that fails
+// runCellSafe simulates one sweep cell by replaying the row's shared stream
+// on a pooled (or freshly built) machine, behind a panic barrier and the
+// chaos suite's cell fault point. A panic anywhere in the cell's simulation
+// — a model bug or an injected fault — becomes a *PanicError that fails
 // this sweep only: the worker pool, the process, and (behind corona-serve)
 // every other job keep running.
-func (s *Sweep) runCellSafe(ctx context.Context, cfg config.System, spec traffic.Spec, row *rowStreams, seed uint64, pool *systemPool, col int) (res Result, err error) {
+func (s *Sweep) runCellSafe(ctx context.Context, cfg config.System, spec traffic.Spec, row *rowStreams, seed uint64, machines *machinePool, key string) (res Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: debug.Stack()}
@@ -247,23 +210,9 @@ func (s *Sweep) runCellSafe(ctx context.Context, cfg config.System, spec traffic
 	if err := faultinject.Fire("core.cell.run"); err != nil {
 		return Result{}, err
 	}
-	return s.runCell(ctx, cfg, spec, row, seed, pool, col)
-}
-
-// runCell simulates one sweep cell by replaying the row's shared stream on a
-// pooled (or freshly built) machine.
-func (s *Sweep) runCell(ctx context.Context, cfg config.System, spec traffic.Spec, row *rowStreams, seed uint64, pool *systemPool, col int) (Result, error) {
-	sys, err := pool.get(col, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	defer pool.put(col, sys)
-	buckets := row.acquire(spec, sys.Cfg.Clusters, s.Requests, seed)
-	r, err := ReplayRunner(sys, spec.Name, buckets)
-	if err != nil {
-		return Result{}, err
-	}
-	return r.Run(ctx)
+	return machines.run(ctx, key, cfg, func(sys *System) (*Runner, error) {
+		return ReplayRunner(sys, spec.Name, row.acquire(spec, sys.Cfg.Clusters, s.Requests, seed))
+	})
 }
 
 // Run executes the matrix on a bounded worker pool (GOMAXPROCS workers by
@@ -304,7 +253,13 @@ func (s *Sweep) Run(ctx context.Context, opts ...Option) error {
 	}
 
 	cache := openCache(rc.cacheDir)
-	pool := newSystemPool(nc)
+	keys := make([]string, nc)
+	for c, cfg := range s.Configs {
+		keys[c] = machineKey(cfg)
+	}
+	pool := NewPool(rc.workers)
+	machines := rc.client.borrow(keys, pool.Workers())
+	defer rc.client.restore(machines)
 	rows := make([]*rowStreams, len(s.Workloads))
 	for w := range rows {
 		rows[w] = &rowStreams{remaining: nc}
@@ -329,7 +284,7 @@ func (s *Sweep) Run(ctx context.Context, opts ...Option) error {
 		done     int
 		firstErr error
 	)
-	NewPool(rc.workers).Run(runCtx, n, func(k int) {
+	pool.Run(runCtx, n, func(k int) {
 		i := k
 		if order != nil {
 			i = order[k]
@@ -344,7 +299,7 @@ func (s *Sweep) Run(ctx context.Context, opts ...Option) error {
 		}
 		if !cached {
 			var err error
-			res, err = s.runCellSafe(runCtx, cfg, spec, rows[w], seed, pool, c)
+			res, err = s.runCellSafe(runCtx, cfg, spec, rows[w], seed, machines, keys[c])
 			if err != nil {
 				mu.Lock()
 				// Cancellations are either the outer ctx (reported below) or

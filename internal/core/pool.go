@@ -124,20 +124,31 @@ type Cell struct {
 // The first cell failure cancels the remaining cells and is returned
 // (*ConfigError for invalid input); a done ctx yields a *CanceledError.
 func RunCells(ctx context.Context, cells []Cell, workers int) ([]Result, error) {
+	return (*Client)(nil).runCells(ctx, cells, workers)
+}
+
+// runCells is RunCells on the Client's machine pool (none for a nil Client).
+func (c *Client) runCells(ctx context.Context, cells []Cell, workers int) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	keys := make([]string, len(cells))
+	for i, cl := range cells {
+		keys[i] = machineKey(cl.Config)
+	}
+	pool := NewPool(workers)
+	machines := c.borrow(keys, pool.Workers())
+	defer c.restore(machines)
 	out := make([]Result, len(cells))
 	var (
 		mu       sync.Mutex
 		firstErr error
 		done     int
 	)
-	NewPool(workers).Run(runCtx, len(cells), func(i int) {
-		cl := cells[i]
-		res, err := runCellContained(runCtx, cl)
+	pool.Run(runCtx, len(cells), func(i int) {
+		res, err := runCellContained(runCtx, cells[i], machines, keys[i])
 		if err != nil {
 			mu.Lock()
 			// A cancellation here is either the outer ctx (reported below) or
@@ -167,7 +178,7 @@ func RunCells(ctx context.Context, cells []Cell, workers int) ([]Result, error) 
 // panicking simulation fails its own RunCells call (as a *PanicError) rather
 // than unwinding the worker pool and the process. Sweep.Run has the same
 // barrier in runCellSafe.
-func runCellContained(ctx context.Context, cl Cell) (res Result, err error) {
+func runCellContained(ctx context.Context, cl Cell, machines *machinePool, key string) (res Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: debug.Stack()}
@@ -177,7 +188,9 @@ func runCellContained(ctx context.Context, cl Cell) (res Result, err error) {
 	if err := faultinject.Fire("core.cell.run"); err != nil {
 		return Result{}, err
 	}
-	return Run(ctx, cl.Config, cl.Spec, cl.Requests, cl.Seed)
+	return machines.run(ctx, key, cl.Config, func(sys *System) (*Runner, error) {
+		return NewRunner(sys, cl.Spec, cl.Requests, cl.Seed), nil
+	})
 }
 
 // isCanceled reports whether err is a context cancellation or deadline,

@@ -308,9 +308,5 @@ func (r *Runner) collect() Result {
 // `requests` misses with the given seed, and return the Result. Invalid
 // configurations surface as *ConfigError, cancellation as *CanceledError.
 func Run(ctx context.Context, cfg config.System, spec traffic.Spec, requests int, seed uint64) (Result, error) {
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return NewRunner(sys, spec, requests, seed).Run(ctx)
+	return (*Client)(nil).Run(ctx, cfg, spec, requests, seed)
 }

@@ -273,8 +273,10 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(core.CellResult)
 		return decode(resp, nil)
 	}
 	defer resp.Body.Close()
+	// NDJSON cell lines run to a few hundred bytes: start the scanner small
+	// and let it grow for a rare long line, up to the 1 MiB limit.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 4<<10), 1<<20)
 	for sc.Scan() {
 		var cell core.CellResult
 		if err := json.Unmarshal(sc.Bytes(), &cell); err != nil {

@@ -2,13 +2,17 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"corona/internal/core"
 )
 
 // recordedSleeps swaps the client's delay primitive for a recorder, so
@@ -248,5 +252,30 @@ func TestClientEndToEnd(t *testing.T) {
 	}
 	if _, err := c.Cancel(ctx, "job-999999"); err == nil {
 		t.Error("Cancel of an unknown job did not error")
+	}
+}
+
+// TestClientStreamLongLine streams a cell whose NDJSON line is longer than
+// the scanner's initial 4 KiB buffer: the buffer must grow to carry it
+// intact, and the short cells around it must still arrive.
+func TestClientStreamLongLine(t *testing.T) {
+	long := strings.Repeat("w", 6<<10)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		enc := json.NewEncoder(w)
+		for i, name := range []string{"Uniform", long, "FFT"} {
+			enc.Encode(core.CellResult{Index: i, Workload: name})
+		}
+	}))
+	defer ts.Close()
+	var got []string
+	err := NewClient(ts.URL).Stream(context.Background(), "job-000001", func(cell core.CellResult) error {
+		got = append(got, cell.Workload)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0] != "Uniform" || got[1] != long || got[2] != "FFT" {
+		t.Fatalf("streamed %d cells, want Uniform, the %d-byte name and FFT intact", len(got), len(long))
 	}
 }
